@@ -23,7 +23,16 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.incremental import (
     INCREMENTAL,
@@ -74,19 +83,37 @@ def _pack_for_backend(
     dataset: Optional[Dataset] = None,
     model: Optional[OnlineTimeModel] = None,
     seed: int = 0,
+    users: Optional[Iterable[UserId]] = None,
 ) -> Optional[PackedSchedules]:
     """The packed schedules for the numpy backend, ``None`` for python.
 
     With ``dataset`` and ``model`` supplied the packing comes from the
     per-``(model, seed)`` memo on the dataset (built once, reused by
-    every sweep of the batch); otherwise it is packed ad hoc from the
+    every sweep of the batch; ``users`` scopes it as in
+    :func:`packed_schedules`); otherwise it is packed ad hoc from the
     given mapping.  Either way the arrays hold the identical floats.
     """
     if check_backend(backend) != NUMPY:
         return None
     if dataset is not None and model is not None:
-        return packed_schedules(dataset, model, seed=seed)
+        return packed_schedules(dataset, model, seed=seed, users=users)
     return PackedSchedules.from_schedules(schedules)
+
+
+def read_closure(dataset: Dataset, users: Sequence[UserId]) -> Set[UserId]:
+    """Every user whose schedule the §II-C evaluation of ``users`` reads.
+
+    That is each cohort user, their replica candidates (placement and
+    the availability-on-demand-time demand window), and the creators of
+    the activities they received (the expected/unexpected split).  A
+    sweep asks :func:`compute_schedules` for exactly these users; a
+    schedule read outside them would silently count as never online.
+    """
+    closure = set(users)
+    for user in users:
+        closure.update(dataset.replica_candidates(user))
+        closure.update(act.creator for act in dataset.trace.received_by(user))
+    return closure
 
 
 @dataclass(frozen=True)
@@ -560,9 +587,14 @@ def sweep_replication_degree(
         runs: Dict[str, List[List[AggregateMetrics]]] = {
             p.name: [[] for _ in degrees] for p in compute_policies
         }
+        # Only the schedules the cohort's evaluation reads, built here
+        # so that every worker shares them and none is built in select.
+        closure = read_closure(dataset, users)
         for r in range(repeats):
             run_seed = seed + r
-            schedules = compute_schedules(dataset, model, seed=run_seed)
+            schedules = compute_schedules(
+                dataset, model, seed=run_seed, users=closure
+            )
             payload = SweepPayload(
                 dataset=dataset,
                 schedules=schedules,
@@ -579,6 +611,7 @@ def sweep_replication_degree(
                     dataset=dataset,
                     model=model,
                     seed=run_seed,
+                    users=closure,
                 ),
             )
             per_user = []

@@ -42,6 +42,19 @@ def hosting_load(
     return load
 
 
+def _scaled_by_peak(values: Sequence[float]) -> List[float]:
+    """``values`` divided by their largest magnitude (empty if all zero).
+
+    Both indices are scale-invariant, and on ``[-1, 1]`` neither the
+    squares nor the running sums can underflow into subnormals or
+    overflow to infinity, whatever the magnitude of the input.
+    """
+    peak = max((abs(v) for v in values), default=0)
+    if peak == 0:
+        return []
+    return [v / peak for v in values]
+
+
 def jain_index(values: Sequence[float]) -> float:
     """Jain's fairness index: ``(Σx)² / (n · Σx²)``.
 
@@ -49,14 +62,12 @@ def jain_index(values: Sequence[float]) -> float:
     Defined as 1.0 for empty or all-zero inputs (no load → nothing
     unfair).
     """
-    n = len(values)
-    if n == 0:
+    scaled = _scaled_by_peak(values)
+    if not scaled:
         return 1.0
-    total = sum(values)
-    squares = sum(v * v for v in values)
-    if squares == 0:
-        return 1.0
-    return (total * total) / (n * squares)
+    total = sum(scaled)
+    squares = sum(v * v for v in scaled)
+    return (total * total) / (len(scaled) * squares)
 
 
 def gini_coefficient(values: Sequence[float]) -> float:
@@ -65,14 +76,11 @@ def gini_coefficient(values: Sequence[float]) -> float:
     0 = perfect equality, →1 = maximal concentration.  0 for empty or
     all-zero inputs.
     """
-    n = len(values)
-    if n == 0:
-        return 0.0
-    ordered = sorted(values)
+    ordered = sorted(_scaled_by_peak(values))
     total = sum(ordered)
     if total == 0:
         return 0.0
-    cum = 0.0
+    n = len(ordered)
     weighted = 0.0
     for i, v in enumerate(ordered, start=1):
         weighted += i * v

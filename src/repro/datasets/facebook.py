@@ -20,7 +20,12 @@ import random
 from typing import Optional
 
 from repro.datasets.filters import filter_dataset
-from repro.datasets.schema import Activity, ActivityTrace, Dataset
+from repro.datasets.schema import (
+    Activity,
+    ActivityTrace,
+    Dataset,
+    parse_timestamp,
+)
 from repro.datasets.synthesis import TraceParams, synthesize_wall_trace
 from repro.graph.generators import (
     configuration_graph,
@@ -63,7 +68,7 @@ def load_facebook_wall_trace(source: PathOrFile) -> ActivityTrace:
             receiver, creator, timestamp = (
                 int(parts[0]),
                 int(parts[1]),
-                float(parts[2]),
+                parse_timestamp(parts[2], lineno),
             )
             activities.append(
                 Activity(timestamp=timestamp, creator=creator, receiver=receiver)

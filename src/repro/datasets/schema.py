@@ -12,6 +12,7 @@ absolute timestamp in seconds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import (
     Dict,
@@ -23,6 +24,8 @@ from typing import (
     Tuple,
     Union,
 )
+
+import numpy as np
 
 from repro.graph.social_graph import FollowerGraph, SocialGraph, UserId
 from repro.timeline.day import time_of_day
@@ -50,6 +53,18 @@ class Activity:
         return time_of_day(self.timestamp)
 
 
+def parse_timestamp(field: str, lineno: int) -> float:
+    """A trace file's timestamp field as a finite float.
+
+    ``float()`` also parses ``nan`` and ``inf``; neither is an instant,
+    and NaN has no total order to sort a trace by.
+    """
+    timestamp = float(field)
+    if not math.isfinite(timestamp):
+        raise ValueError(f"line {lineno}: non-finite timestamp {field!r}")
+    return timestamp
+
+
 class ActivityTrace:
     """An indexed, chronologically sorted collection of activities.
 
@@ -60,7 +75,17 @@ class ActivityTrace:
     """
 
     def __init__(self, activities: Iterable[Activity]):
-        self._activities: Tuple[Activity, ...] = tuple(sorted(activities))
+        self._set_sorted(_sort_activities(activities))
+
+    @classmethod
+    def _from_sorted(cls, activities: Tuple[Activity, ...]) -> "ActivityTrace":
+        """A trace over activities that are already in trace order."""
+        trace = cls.__new__(cls)
+        trace._set_sorted(activities)
+        return trace
+
+    def _set_sorted(self, activities: Tuple[Activity, ...]) -> None:
+        self._activities: Tuple[Activity, ...] = activities
         self._by_creator: Optional[Dict[UserId, List[Activity]]] = None
         self._by_receiver: Optional[Dict[UserId, List[Activity]]] = None
 
@@ -138,21 +163,52 @@ class ActivityTrace:
 
     # -- transforms ---------------------------------------------------------
 
+    # A subsequence of a sorted trace is sorted: the filters skip the sort.
+
     def window(self, begin: float, end: float) -> "ActivityTrace":
         """Activities with ``begin <= timestamp < end`` (the paper's
         'pre-defined time frame in the past')."""
-        return ActivityTrace(
-            act for act in self._activities if begin <= act.timestamp < end
+        return ActivityTrace._from_sorted(
+            tuple(
+                act
+                for act in self._activities
+                if begin <= act.timestamp < end
+            )
         )
 
     def restricted_to(self, users: Iterable[UserId]) -> "ActivityTrace":
         """Activities whose creator *and* receiver both survive filtering."""
         keep = set(users)
-        return ActivityTrace(
-            act
-            for act in self._activities
-            if act.creator in keep and act.receiver in keep
+        return ActivityTrace._from_sorted(
+            tuple(
+                act
+                for act in self._activities
+                if act.creator in keep and act.receiver in keep
+            )
         )
+
+
+def _sort_activities(activities: Iterable[Activity]) -> Tuple[Activity, ...]:
+    """``tuple(sorted(activities))``, without the dataclass comparisons.
+
+    One stable ``np.lexsort`` over the ``(timestamp, creator, receiver)``
+    key columns gives the order of ``Activity.__lt__``, duplicates
+    included; the objects are gathered back through an object array.
+    Timestamps must not be NaN (the loaders reject them): NaN has no
+    total order, so no sort can agree with ``sorted()`` on it.
+    """
+    acts = list(activities)
+    n = len(acts)
+    if n < 2:
+        return tuple(acts)
+    order = np.lexsort(
+        (
+            np.fromiter((a.receiver for a in acts), dtype=np.int64, count=n),
+            np.fromiter((a.creator for a in acts), dtype=np.int64, count=n),
+            np.fromiter((a.timestamp for a in acts), dtype=np.float64, count=n),
+        )
+    )
+    return tuple(np.fromiter(acts, dtype=object, count=n)[order])
 
 
 @dataclass

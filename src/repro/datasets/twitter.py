@@ -16,7 +16,12 @@ import random
 from typing import Optional
 
 from repro.datasets.filters import filter_dataset
-from repro.datasets.schema import Activity, ActivityTrace, Dataset
+from repro.datasets.schema import (
+    Activity,
+    ActivityTrace,
+    Dataset,
+    parse_timestamp,
+)
 from repro.datasets.synthesis import TraceParams, synthesize_tweet_trace
 from repro.graph.generators import powerlaw_follower_graph
 from repro.graph.io import PathOrFile, open_for_read, read_follower_graph
@@ -50,7 +55,7 @@ def load_tweet_trace(source: PathOrFile) -> ActivityTrace:
                 )
             activities.append(
                 Activity(
-                    timestamp=float(parts[2]),
+                    timestamp=parse_timestamp(parts[2], lineno),
                     creator=int(parts[0]),
                     receiver=int(parts[1]),
                 )

@@ -30,6 +30,7 @@ from repro.core import (
     evaluate_user,
     make_policy,
     placement_sequences,
+    read_closure,
     sweep_replication_degree,
     sweep_replication_degree_datasets,
     sweep_session_length,
@@ -917,9 +918,12 @@ def x2_expected_unexpected(
     dataset = facebook_dataset(scale)
     users = _cohort(dataset, scale)
     policy = make_policy("maxav")
+    closure = read_closure(dataset, users)
     rows = []
     for panel_name, model in _panel_models():
-        schedules = compute_schedules(dataset, model, seed=scale.seed)
+        schedules = compute_schedules(
+            dataset, model, seed=scale.seed, users=closure
+        )
         sequences = placement_sequences(
             dataset,
             schedules,

@@ -4,9 +4,9 @@ The datasets record *when users acted*, not when they were online; the
 paper bridges the gap with three models (§IV-C) that map a user's activity
 history to a daily online schedule.  Each model implements
 :class:`OnlineTimeModel`; :func:`compute_schedules` evaluates one model
-over a whole dataset deterministically (and memoises the result per
-``(model, seed)`` on the dataset, so repeats and multi-figure sweeps never
-recompute identical schedules).
+over a dataset, or over just the users a sweep reads, deterministically
+(and memoises the result per ``(model, seed)`` on the dataset, so
+repeats and multi-figure sweeps never recompute identical schedules).
 
 Randomised models (Sporadic's in-session placement, RandomLength's window
 length) draw from a per-user RNG derived from ``(seed, user_id)`` via
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Dict, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.datasets.schema import Dataset
 from repro.graph.social_graph import UserId
@@ -76,59 +76,103 @@ class OnlineTimeModel(ABC):
         return (type(self).__qualname__, self.describe())
 
 
+def _memo(dataset: Dataset, attr: str) -> Dict[Tuple[object, ...], object]:
+    cache = getattr(dataset, attr, None)
+    if cache is None:
+        cache = {}
+        object.__setattr__(dataset, attr, cache)
+    return cache
+
+
+def _memo_put(cache: Dict, key: Tuple[object, ...], value: object) -> None:
+    if key not in cache and len(cache) >= _CACHE_MAX_ENTRIES:
+        cache.pop(next(iter(cache)))  # FIFO: evict the oldest entry
+    cache[key] = value
+
+
 def compute_schedules(
-    dataset: Dataset, model: OnlineTimeModel, *, seed: int = 0
+    dataset: Dataset,
+    model: OnlineTimeModel,
+    *,
+    seed: int = 0,
+    users: Optional[Iterable[UserId]] = None,
 ) -> Schedules:
-    """Evaluate ``model`` for every user in the dataset.
+    """Evaluate ``model`` for the given users, or every user by default.
 
     Results are memoised on the dataset per ``(model.cache_key(), seed)``:
     repeats with the same seed, multi-policy sweeps, and the many figures
-    sharing one model configuration all reuse the first computation.  The
-    returned mapping must be treated as read-only.
+    sharing one model configuration all reuse the first computation.
+
+    ``users`` (e.g. a sweep's read closure, see
+    :func:`repro.core.evaluation.read_closure`) computes only those of
+    them that are graph users and not yet memoised; the returned mapping
+    holds every one of them plus whatever the memo already held.  Users
+    outside the graph are never scheduled, so they read as never online
+    exactly as under ``users=None``, which returns every graph user in
+    graph order.  A schedule depends only on ``(model, seed, user)``, so
+    a partial memo holds the same ``IntervalSet`` values a whole-dataset
+    build does.
+
+    Growing the memo replaces its entry with a new mapping and never
+    mutates a returned one: payload fingerprints and the packed memo key
+    on mapping identity.  The returned mapping must be treated as
+    read-only.
     """
-    cache = getattr(dataset, _CACHE_ATTR, None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(dataset, _CACHE_ATTR, cache)
+    cache = _memo(dataset, _CACHE_ATTR)
     key = (model.cache_key(), seed)
-    schedules = cache.get(key)
-    if schedules is None:
-        schedules = {
-            user: model.schedule(user, dataset, seed)
-            for user in dataset.graph.users()
+    schedules = cache.get(key, {})
+    graph = dataset.graph
+    if users is None:
+        if key in cache and len(schedules) == graph.num_users:
+            return schedules
+        grown = {
+            user: schedules[user]
+            if user in schedules
+            else model.schedule(user, dataset, seed)
+            for user in graph.users()
         }
-        if len(cache) >= _CACHE_MAX_ENTRIES:
-            cache.pop(next(iter(cache)))  # FIFO: evict the oldest entry
-        cache[key] = schedules
-    return schedules
+    else:
+        missing = [
+            user
+            for user in dict.fromkeys(users)
+            if user not in schedules and user in graph
+        ]
+        if key in cache and not missing:
+            return schedules
+        grown = dict(schedules)
+        for user in missing:
+            grown[user] = model.schedule(user, dataset, seed)
+    _memo_put(cache, key, grown)
+    return grown
 
 
 def packed_schedules(
-    dataset: Dataset, model: OnlineTimeModel, *, seed: int = 0
+    dataset: Dataset,
+    model: OnlineTimeModel,
+    *,
+    seed: int = 0,
+    users: Optional[Iterable[UserId]] = None,
 ) -> PackedSchedules:
     """The CSR-packed counterpart of ``compute_schedules``, memoised.
 
     Packs the memoised schedules of ``(model.cache_key(), seed)`` into a
-    :class:`~repro.timeline.packed.PackedSchedules` exactly once per
-    dataset — the numpy backend used to rebuild the packing on every
-    sweep call, which dominated warm-path cost on multi-figure batches.
-    The memo lives next to the schedule memo (same key, same FIFO
-    bound) and :func:`clear_schedule_cache` drops both coordinately.
+    :class:`~repro.timeline.packed.PackedSchedules` once per memo state
+    — the numpy backend used to rebuild the packing on every sweep call,
+    which dominated warm-path cost on multi-figure batches.  ``users``
+    is passed to :func:`compute_schedules`; the packing covers the whole
+    schedule memo, and is rebuilt when the memo has grown since it was
+    packed.  The memo lives next to the schedule memo (same key, same
+    FIFO bound) and :func:`clear_schedule_cache` drops both
+    coordinately.
     """
-    cache = getattr(dataset, _PACKED_CACHE_ATTR, None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(dataset, _PACKED_CACHE_ATTR, cache)
+    schedules = compute_schedules(dataset, model, seed=seed, users=users)
+    cache = _memo(dataset, _PACKED_CACHE_ATTR)
     key = (model.cache_key(), seed)
-    packed = cache.get(key)
-    if packed is None:
-        packed = PackedSchedules.from_schedules(
-            compute_schedules(dataset, model, seed=seed)
-        )
-        if len(cache) >= _CACHE_MAX_ENTRIES:
-            cache.pop(next(iter(cache)))  # FIFO: evict the oldest entry
-        cache[key] = packed
-    return packed
+    entry = cache.get(key)
+    if entry is None or entry[0] is not schedules:
+        entry = (schedules, PackedSchedules.from_schedules(schedules))
+        _memo_put(cache, key, entry)
+    return entry[1]
 
 
 def clear_schedule_cache(dataset: Dataset) -> None:

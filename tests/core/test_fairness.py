@@ -1,7 +1,7 @@
 """Tests for the hosting-load fairness metrics (§II-B1)."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.fairness import (
@@ -44,9 +44,17 @@ class TestJainIndex:
         assert jain_index([0, 0]) == 1.0
 
     @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=30))
+    @example([4.331165308149776e-157] * 4)  # squares underflow unscaled
     def test_bounds(self, values):
         j = jain_index(values)
         assert 0.0 <= j <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("magnitude", [5e-324, 1e-300, 1e-157, 1e308])
+    def test_extreme_magnitudes(self, magnitude):
+        # Squares of tiny loads underflow and of huge ones overflow;
+        # scaling by the peak keeps the index exact for uniform loads.
+        assert jain_index([magnitude] * 4) == 1.0
+        assert jain_index([magnitude, 0, 0, 0]) == 0.25
 
     @given(
         st.lists(st.floats(min_value=0.01, max_value=1e3), min_size=1, max_size=20),
@@ -74,6 +82,13 @@ class TestGini:
     def test_bounds(self, values):
         g = gini_coefficient(values)
         assert -1e-9 <= g < 1.0
+
+    @pytest.mark.parametrize("magnitude", [5e-324, 1e-300, 1e-157, 1e308])
+    def test_extreme_magnitudes(self, magnitude):
+        # Unscaled, the total of 1e308 loads overflows to inf, and
+        # inf/inf is NaN.
+        assert gini_coefficient([magnitude] * 3) == pytest.approx(0.0, abs=1e-15)
+        assert gini_coefficient([0, magnitude]) == pytest.approx(0.5)
 
     def test_known_value(self):
         # [0, 1]: Gini = 0.5 for two values.

@@ -12,6 +12,7 @@ from repro.datasets import (
     degree_distribution,
     filter_dataset,
     load_facebook_dataset,
+    load_facebook_wall_trace,
     load_tweet_trace,
     load_twitter_dataset,
     synthetic_facebook,
@@ -132,6 +133,13 @@ class TestLoaders:
     def test_tweet_trace_rejects_bad_line(self):
         with pytest.raises(ValueError):
             load_tweet_trace(io.StringIO("1 2\n"))
+
+    @pytest.mark.parametrize("loader", [load_facebook_wall_trace, load_tweet_trace])
+    @pytest.mark.parametrize("field", ["nan", "NaN", "inf", "-inf", "Infinity"])
+    def test_rejects_non_finite_timestamp(self, loader, field):
+        text = io.StringIO(f"# header\n1 2 5\n1 2 {field}\n")
+        with pytest.raises(ValueError, match=f"line 3: non-finite timestamp '{field}'"):
+            loader(text)
 
 
 class TestStats:

@@ -1,6 +1,8 @@
 """Unit tests for Activity / ActivityTrace / Dataset."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.datasets import Activity, ActivityTrace, Dataset
 from repro.graph import FollowerGraph, SocialGraph
@@ -72,6 +74,55 @@ class TestActivityTrace:
         restricted = trace.restricted_to({1, 2})
         assert len(restricted) == 1
         assert restricted.activities[0].creator == 1
+
+
+# Tiny domains force timestamp ties, creator ties and duplicate triples;
+# -0.0 == 0.0 is a tie both orders must keep in input order.
+_timestamps = st.sampled_from([-0.0, 0.0, 0.5, 1.0, 86400.0, 1e12, -3.25])
+_ids = st.integers(min_value=0, max_value=3)
+_activity_lists = st.lists(
+    st.builds(Activity, timestamp=_timestamps, creator=_ids, receiver=_ids),
+    max_size=40,
+)
+
+
+def _same_objects(actual, expected):
+    return len(actual) == len(expected) and all(
+        a is b for a, b in zip(actual, expected)
+    )
+
+
+class TestTraceOrder:
+    """The trace is ``tuple(sorted(...))``: same objects, same order."""
+
+    @given(_activity_lists)
+    @example([])
+    @example([_act(1.0, 2, 3)])
+    @example([_act(5.0, 1, 2), _act(5.0, 1, 2), _act(5.0, 1, 1)])
+    def test_matches_sorted(self, acts):
+        assert _same_objects(ActivityTrace(acts).activities, tuple(sorted(acts)))
+
+    @given(_activity_lists)
+    def test_accepts_a_generator(self, acts):
+        trace = ActivityTrace(act for act in acts)
+        assert _same_objects(trace.activities, tuple(sorted(acts)))
+
+    @given(_activity_lists, _timestamps, _timestamps)
+    def test_window_matches_sorted(self, acts, begin, end):
+        windowed = ActivityTrace(acts).window(begin, end)
+        expected = sorted(a for a in acts if begin <= a.timestamp < end)
+        assert _same_objects(windowed.activities, expected)
+
+    @given(_activity_lists, st.sets(_ids))
+    def test_restricted_to_matches_sorted(self, acts, keep):
+        restricted = ActivityTrace(acts).restricted_to(keep)
+        expected = sorted(
+            a for a in acts if a.creator in keep and a.receiver in keep
+        )
+        assert _same_objects(restricted.activities, expected)
+        assert [a.timestamp for a in restricted.received_by(1)] == [
+            a.timestamp for a in expected if a.receiver == 1
+        ]
 
 
 class TestDataset:
