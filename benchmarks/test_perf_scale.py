@@ -17,8 +17,11 @@ Three contracts, one record (``BENCH_scale.json``):
    whole python graph ever) must come in at <= 60% of the legacy sharded
    path's peak RSS, with its digest equal to its own eager reference.
    The record keeps ``time_to_first_shard_seconds`` — the streaming
-   pipeline's latency to the first materialised shard — and per-path
-   ``users_per_second``.
+   pipeline's latency to the first materialised shard — per-path
+   ``users_per_second``, and each sharded path's
+   ``regenerations_per_survivor``: ``user_activities`` calls per
+   surviving user (1.0 would be no re-synthesis at all; the next-shard
+   handover keeps it near the closure overlap of neighbouring shards).
 
 3. Identity — sharded sweeps on a subsampled cohort are bit-identical
    to the unsharded path across (jobs, engine, backend), the same
@@ -135,7 +138,20 @@ print(json.dumps({
 
 _SHARDED_SCRIPT = _SPEC + """
 import json, resource, sys, time
+import repro.datasets.sharding as sharding_module
 from repro.datasets import ShardedDataset
+
+# Count per-user regenerations: shard() looks user_activities up by
+# module-global name, once per user it does not inherit.
+regenerations = 0
+_user_activities = sharding_module.user_activities
+
+def _counted_user_activities(*args):
+    global regenerations
+    regenerations += 1
+    return _user_activities(*args)
+
+sharding_module.user_activities = _counted_user_activities
 
 n, seed, shards = int(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
 layout = sys.argv[4] if len(sys.argv) > 4 else "legacy"
@@ -169,6 +185,7 @@ print(json.dumps({
     "time_to_first_shard_seconds": first_shard_seconds,
     "activities": activities,
     "digest": digest,
+    "regenerations_per_survivor": regenerations / len(sharded.survivors),
     "peak_rss_bytes": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     * 1024,
 }))
@@ -267,6 +284,10 @@ def _path_record(result):
     if result.get("time_to_first_shard_seconds") is not None:
         entry["time_to_first_shard_seconds"] = round(
             result["time_to_first_shard_seconds"], 3
+        )
+    if result.get("regenerations_per_survivor") is not None:
+        entry["regenerations_per_survivor"] = round(
+            result["regenerations_per_survivor"], 4
         )
     return entry
 

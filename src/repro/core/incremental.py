@@ -50,7 +50,7 @@ from repro.core.connectivity import (
     member_edge_weights,
     observed_unconrep_delay_hours,
 )
-from repro.core.metrics import UserMetrics
+from repro.core.metrics import UserMetrics, demand_fraction
 from repro.core.placement.base import CONREP, UNCONREP
 from repro.datasets.schema import Dataset
 from repro.graph.social_graph import UserId
@@ -270,12 +270,9 @@ class _WalkState:
         ev = self._ev
         availability = self._union.measure / DAY_SECONDS
         friends_union = ev._friends_union
-        if friends_union.measure > 0:
-            aod_time = (
-                self._union.overlap(friends_union) / friends_union.measure
-            )
-        else:
-            aod_time = 1.0  # no demand window: vacuously served
+        aod_time = demand_fraction(
+            self._union.overlap(friends_union), friends_union.measure
+        )
 
         total = ev._total
         if total:

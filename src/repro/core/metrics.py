@@ -70,6 +70,19 @@ class UserMetrics:
         return len(self.replicas)
 
 
+def demand_fraction(overlap: float, demand: float) -> float:
+    """The served share ``overlap / demand`` of a demand window.
+
+    ``overlap`` sums the *pieces* of the demand window that the profile
+    covers, which can round an ulp above the demand's own sum (e.g. a
+    profile whose intervals tile the window with one-ulp gaps), so the
+    ratio is clamped to 1.  An empty window is vacuously served.
+    """
+    if demand > 0:
+        return min(overlap / demand, 1.0)
+    return 1.0
+
+
 def profile_schedule(
     user: UserId, replicas: Sequence[UserId], schedules: Schedules
 ) -> IntervalSet:
@@ -113,10 +126,9 @@ def evaluate_user(
     max_achievable = (
         friends_union.union(schedules.get(user, empty)).measure / DAY_SECONDS
     )
-    if friends_union.measure > 0:
-        aod_time = group_sched.overlap(friends_union) / friends_union.measure
-    else:
-        aod_time = 1.0  # no demand window: vacuously served
+    aod_time = demand_fraction(
+        group_sched.overlap(friends_union), friends_union.measure
+    )
 
     received = dataset.trace.received_by(user)
     total = len(received)

