@@ -1,13 +1,17 @@
-"""Incremental prefix-evaluation engine benchmark: speedup and identity.
+"""Incremental prefix-evaluation benchmark: speedup and identity.
 
 Two contracts on the fixed BENCH synthetic Facebook cohort, degree sweep
 0..10, single process:
 
-1. Bit-identity — always asserted: ``engine="incremental"`` produces
+1. Bit-identity — always asserted: ``sweep_replication_degree`` produces
    exactly the same ``AggregateMetrics`` (float-for-float) as the naive
-   per-degree reference path.
-2. Speedup — the one-pass engine must cut wall-clock by >= 3x over the
-   per-degree rebuild loop.
+   per-degree oracle, ``tests/oracles/naive.py``.
+2. Speedup — the one-pass evaluation must cut wall-clock by >= 3x over
+   the oracle's per-degree rebuild loop.
+
+Run it from the repository root (``python -m pytest
+benchmarks/test_perf_incremental_sweep.py``) so that ``tests.oracles``
+imports.
 
 The measured timings land in ``BENCH_incremental.json`` at the repo root
 (machine-readable phase -> seconds plus the speedup factor), which CI
@@ -20,15 +24,11 @@ import platform
 from pathlib import Path
 from time import perf_counter
 
-from repro.core import (
-    INCREMENTAL,
-    NAIVE,
-    make_policy,
-    sweep_replication_degree,
-)
+from repro.core import make_policy, sweep_replication_degree
 from repro.experiments import BENCH, facebook_dataset
 from repro.experiments.figures import DEGREES, _cohort
 from repro.onlinetime import SporadicModel
+from tests.oracles.naive import naive_sweep
 
 MIN_SPEEDUP = 3.0
 
@@ -40,10 +40,10 @@ _JSON_PATH = Path(
 )
 
 
-def _sweep(engine):
+def _sweep(sweep_fn=sweep_replication_degree):
     dataset = facebook_dataset(BENCH)
     users = _cohort(dataset, BENCH)
-    return sweep_replication_degree(
+    return sweep_fn(
         dataset,
         SporadicModel(),
         [make_policy("maxav"), make_policy("mostactive"), make_policy("random")],
@@ -51,21 +51,18 @@ def _sweep(engine):
         users=users,
         seed=BENCH.seed,
         repeats=BENCH.repeats,
-        engine=engine,
     )
 
 
 def test_incremental_engine_speedup_and_identity(benchmark):
-    _sweep(INCREMENTAL)  # warm the dataset + schedule caches
+    _sweep()  # warm the dataset + schedule caches
 
     start = perf_counter()
-    naive = _sweep(NAIVE)
+    naive = _sweep(naive_sweep)
     naive_seconds = perf_counter() - start
 
     start = perf_counter()
-    incremental = benchmark.pedantic(
-        _sweep, args=(INCREMENTAL,), rounds=1, iterations=1
-    )
+    incremental = benchmark.pedantic(_sweep, rounds=1, iterations=1)
     incremental_seconds = perf_counter() - start
 
     assert incremental == naive  # exact dataclass equality, all floats

@@ -24,7 +24,7 @@ Three contracts, one record (``BENCH_scale.json``):
    handover keeps it near the closure overlap of neighbouring shards).
 
 3. Identity — sharded sweeps on a subsampled cohort are bit-identical
-   to the unsharded path across (jobs, engine, backend), the same
+   to the unsharded path across (jobs, backend), the same
    contract those knobs already obey individually.
 
 The record also accounts for the shared-memory packing win: the bytes
@@ -235,7 +235,7 @@ def _identity_grid():
     users = select_cohort(ds, 10, max_users=8)
     policies = [make_policy("maxav"), make_policy("random")]
 
-    def sweep(*, shards, jobs=1, engine="incremental", backend="python"):
+    def sweep(*, shards, jobs=1, backend="python"):
         executor = ParallelExecutor(jobs=jobs) if jobs > 1 else None
         try:
             return sweep_replication_degree(
@@ -248,7 +248,6 @@ def _identity_grid():
                 repeats=2,
                 shards=shards,
                 executor=executor,
-                engine=engine,
                 backend=backend,
             )
         finally:
@@ -257,15 +256,13 @@ def _identity_grid():
 
     baseline = sweep(shards=1)
     combos = [
-        {"jobs": 1, "engine": "incremental", "backend": "python"},
-        {"jobs": 1, "engine": "naive", "backend": "python"},
-        {"jobs": 1, "engine": "incremental", "backend": "numpy"},
-        {"jobs": 1, "engine": "naive", "backend": "numpy"},
+        {"jobs": 1, "backend": "python"},
+        {"jobs": 1, "backend": "numpy"},
     ]
     if fork_available():
         combos += [
-            {"jobs": 2, "engine": "incremental", "backend": "python"},
-            {"jobs": 2, "engine": "naive", "backend": "numpy"},
+            {"jobs": 2, "backend": "python"},
+            {"jobs": 2, "backend": "numpy"},
         ]
     checked = []
     for combo in combos:

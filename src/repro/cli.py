@@ -117,7 +117,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     eid,
                     scale,
                     executor=executor,
-                    engine=args.engine,
                     backend=args.backend,
                     cache=cache,
                     shards=args.shards,
@@ -142,7 +141,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 results,
                 scale=scale,
                 jobs=executor.effective_jobs,
-                engine=args.engine,
                 backend=args.backend,
                 shards=args.shards,
                 shard_mode=args.shard_mode,
@@ -176,7 +174,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             scale=scale,
             ids=ids,
             jobs=args.jobs,
-            engine=args.engine,
             backend=args.backend,
             shards=args.shards,
             shard_mode=args.shard_mode,
@@ -370,7 +367,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         dataset,
         model,
         mode=args.mode,
-        engine=args.engine,
         backend=args.backend,
         seed=args.seed,
         cache=cache,
@@ -435,7 +431,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     warm_ms.sort()
     stats = plane.stats()
     print(
-        f"[query] {args.policy}/{args.mode} engine={args.engine} "
+        f"[query] {args.policy}/{args.mode} "
         f"backend={args.backend}: {len(cohort)} queries, warmup "
         f"{warm_seconds:.2f}s; first-pass p50 "
         f"{_percentile(latencies_ms, 0.5):.2f}ms p99 "
@@ -553,16 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_run.add_argument(
-        "--engine",
-        default="incremental",
-        choices=("incremental", "naive"),
-        help=(
-            "prefix-evaluation engine for degree sweeps: 'incremental' "
-            "evaluates all degrees in one pass per user, 'naive' is the "
-            "per-degree reference (identical results, slower)"
-        ),
-    )
-    p_run.add_argument(
         "--backend",
         default="python",
         choices=("python", "numpy"),
@@ -646,9 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
             "worker processes for the per-user sweep work "
             "(1 = serial, 0 = all CPUs; results are identical for any value)"
         ),
-    )
-    p_batch.add_argument(
-        "--engine", default="incremental", choices=("incremental", "naive")
     )
     p_batch.add_argument(
         "--backend", default="python", choices=("python", "numpy")
@@ -802,9 +785,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cohort", type=int, default=20, help="max cohort size"
     )
     p_query.add_argument("--k", type=int, default=3, help="replication degree")
-    p_query.add_argument(
-        "--engine", default="incremental", choices=("incremental", "naive")
-    )
     p_query.add_argument(
         "--backend",
         default="python",

@@ -34,12 +34,8 @@ from typing import (
     Tuple,
 )
 
-from repro.core.incremental import (
-    INCREMENTAL,
-    IncrementalGroupEvaluator,
-    check_engine,
-)
-from repro.core.metrics import UserMetrics, evaluate_user
+from repro.core.incremental import IncrementalGroupEvaluator
+from repro.core.metrics import UserMetrics
 from repro.core.placement.base import (
     CONREP,
     PlacementContext,
@@ -396,31 +392,16 @@ def evaluate_placements(
     k: int,
     *,
     mode: str = CONREP,
-    engine: str = INCREMENTAL,
     backend: str = PYTHON,
 ) -> AggregateMetrics:
     """Evaluate the degree-``k`` prefix of each user's selection sequence."""
     packed = _pack_for_backend(schedules, backend)
-    if check_engine(engine) == INCREMENTAL:
-        per_user = [
-            IncrementalGroupEvaluator(
-                dataset, schedules, user, mode=mode, packed=packed
-            ).evaluate(seq, k)
-            for user, seq in sequences.items()
-        ]
-    else:
-        per_user = [
-            evaluate_user(
-                dataset,
-                schedules,
-                user,
-                seq[:k],
-                allowed_degree=k,
-                mode=mode,
-                packed=packed,
-            )
-            for user, seq in sequences.items()
-        ]
+    per_user = [
+        IncrementalGroupEvaluator(
+            dataset, schedules, user, mode=mode, packed=packed
+        ).evaluate(seq, k)
+        for user, seq in sequences.items()
+    ]
     return AggregateMetrics.from_users(per_user)
 
 
@@ -432,7 +413,6 @@ def evaluate_single(
     k: int,
     *,
     mode: str = CONREP,
-    engine: str = INCREMENTAL,
     backend: str = PYTHON,
     seed: int = 0,
     model: Optional[OnlineTimeModel] = None,
@@ -449,7 +429,7 @@ def evaluate_single(
     It routes through the very same per-user kernel the sweeps fan out
     (:func:`repro.parallel.evaluate_user_cell`), so the returned metrics
     are bit-identical to the degree-``k`` entry of a batch sweep that
-    includes this user — for every engine/backend combination, under any
+    includes this user — for every backend, under any
     ``PYTHONHASHSEED`` (property-tested in ``tests/query``).
 
     The user's RNG derives from ``(seed, policy.name, user)`` exactly as
@@ -464,7 +444,6 @@ def evaluate_single(
     pre-computed selection (may be longer than ``k`` — only the prefix
     is used).  All three change *when* work happens, never the floats.
     """
-    check_engine(engine)
     if packed is None:
         packed = _pack_for_backend(
             schedules,
@@ -483,7 +462,6 @@ def evaluate_single(
         degrees=(int(k),),
         max_degree=int(k),
         seed=seed,
-        engine=engine,
         backend=backend,
         packed=packed,
     )
@@ -507,7 +485,6 @@ def sweep_replication_degree(
     seed: int = 0,
     repeats: int = 1,
     executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
     backend: str = PYTHON,
     cache: Optional["SweepCache"] = None,
     shards: int = 1,
@@ -520,10 +497,8 @@ def sweep_replication_degree(
     The per-user work (sequence selection at the maximum degree, then
     prefix evaluation at every swept degree) runs through ``executor``;
     with ``jobs > 1`` it spreads over worker processes and returns
-    results bit-identical to the serial run.  ``engine`` selects the
-    prefix-evaluation path: ``"incremental"`` (default — one forward pass
-    per user covers every swept degree) or ``"naive"`` (the reference
-    per-degree oracle; float-identical, only slower).  ``backend``
+    results bit-identical to the serial run.  One forward pass per user
+    covers every swept degree (:mod:`repro.core.incremental`).  ``backend``
     selects the timeline kernels: ``"python"`` (default) or ``"numpy"``
     (vectorised batch kernels over schedules packed once per repeat;
     results bit-identical to python — see :mod:`repro.timeline.packed`).
@@ -533,7 +508,7 @@ def sweep_replication_degree(
     each user's RNG derives from ``(seed, policy.name, user)`` — so a
     partial hit computes only the policies still missing and merges them
     with the cached ones; the returned floats are identical either way.
-    Execution knobs (``executor``/``engine``/``backend``) are *not* part
+    Execution knobs (``executor``/``backend``) are *not* part
     of the address: every combination produces bit-identical results.
 
     ``shards`` splits the cohort into that many contiguous slices and
@@ -549,7 +524,6 @@ def sweep_replication_degree(
         raise ValueError("empty user cohort")
     if shards < 1:
         raise ValueError("shards must be >= 1")
-    check_engine(engine)
     check_backend(backend)
     users = list(users)
     degrees = list(degrees)
@@ -603,7 +577,6 @@ def sweep_replication_degree(
                 degrees=tuple(degrees),
                 max_degree=max_degree,
                 seed=run_seed,
-                engine=engine,
                 backend=backend,
                 packed=_pack_for_backend(
                     schedules,
@@ -688,7 +661,6 @@ def sweep_session_length(
     seed: int = 0,
     repeats: int = 1,
     executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
     backend: str = PYTHON,
     cache: Optional["SweepCache"] = None,
     shards: int = 1,
@@ -707,7 +679,6 @@ def sweep_session_length(
             seed=seed,
             repeats=repeats,
             executor=executor,
-            engine=engine,
             backend=backend,
             cache=cache,
             shards=shards,
@@ -728,7 +699,6 @@ def sweep_user_degree(
     seed: int = 0,
     repeats: int = 1,
     executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
     backend: str = PYTHON,
     cache: Optional["SweepCache"] = None,
     shards: int = 1,
@@ -758,7 +728,6 @@ def sweep_user_degree(
             seed=seed,
             repeats=repeats,
             executor=executor,
-            engine=engine,
             backend=backend,
             cache=cache,
             shards=shards,
@@ -817,7 +786,6 @@ def sweep_replication_degree_datasets(
     seed: int = 0,
     repeats: int = 1,
     executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
     backend: str = PYTHON,
     cache: Optional["SweepCache"] = None,
     shards: int = 1,
@@ -857,7 +825,6 @@ def sweep_replication_degree_datasets(
                 seed=seed + r,
                 repeats=1,
                 executor=executor,
-                engine=engine,
                 backend=backend,
                 cache=cache,
                 shards=shards,
@@ -881,7 +848,6 @@ def sweep_session_length_datasets(
     seed: int = 0,
     repeats: int = 1,
     executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
     backend: str = PYTHON,
     cache: Optional["SweepCache"] = None,
     shards: int = 1,
@@ -919,7 +885,6 @@ def sweep_session_length_datasets(
                     seed=seed + r,
                     repeats=1,
                     executor=executor,
-                    engine=engine,
                     backend=backend,
                     cache=cache,
                     shards=shards,
@@ -942,7 +907,6 @@ def sweep_user_degree_datasets(
     seed: int = 0,
     repeats: int = 1,
     executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
     backend: str = PYTHON,
     cache: Optional["SweepCache"] = None,
     shards: int = 1,
@@ -985,7 +949,6 @@ def sweep_user_degree_datasets(
                     seed=seed + r,
                     repeats=1,
                     executor=executor,
-                    engine=engine,
                     backend=backend,
                     cache=cache,
                     shards=shards,

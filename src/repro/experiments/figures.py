@@ -23,7 +23,6 @@ from typing import (
 
 from repro.core import (
     CONREP,
-    INCREMENTAL,
     NUMPY,
     PYTHON,
     UNCONREP,
@@ -172,7 +171,6 @@ def _panel_sweep(
     metric: str,
     models: Optional[Sequence[Tuple[str, OnlineTimeModel]]] = None,
     executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
     backend: str = PYTHON,
     cache: Optional["SweepCache"] = None,
     shards: int = 1,
@@ -208,7 +206,6 @@ def _panel_sweep(
             seed=scale.seed,
             repeats=scale.repeats,
             executor=executor,
-            engine=engine,
             backend=backend,
             cache=cache,
             shards=1 if is_sharded else shards,
@@ -253,7 +250,6 @@ def table1_dataset_stats(
     scale: ExperimentScale,
     *,
     executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
     backend: str = PYTHON,
     cache: Optional["SweepCache"] = None,
     shards: int = 1,
@@ -313,7 +309,6 @@ def fig2_degree_distribution(
     scale: ExperimentScale,
     *,
     executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
     backend: str = PYTHON,
     cache: Optional["SweepCache"] = None,
     shards: int = 1,
@@ -354,7 +349,6 @@ def fig3_fb_conrep_availability(
     scale: ExperimentScale,
     *,
     executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
     backend: str = PYTHON,
     cache: Optional["SweepCache"] = None,
     shards: int = 1,
@@ -379,7 +373,6 @@ def fig3_fb_conrep_availability(
         mode=CONREP,
         metric="availability",
         executor=executor,
-        engine=engine,
         backend=backend,
         cache=cache,
         shards=shards,
@@ -391,7 +384,6 @@ def fig4_fb_unconrep_availability(
     scale: ExperimentScale,
     *,
     executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
     backend: str = PYTHON,
     cache: Optional["SweepCache"] = None,
     shards: int = 1,
@@ -421,7 +413,6 @@ def fig4_fb_unconrep_availability(
         metric="availability",
         models=models,
         executor=executor,
-        engine=engine,
         backend=backend,
         cache=cache,
         shards=shards,
@@ -433,7 +424,6 @@ def fig5_fb_conrep_aod_time(
     scale: ExperimentScale,
     *,
     executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
     backend: str = PYTHON,
     cache: Optional["SweepCache"] = None,
     shards: int = 1,
@@ -458,7 +448,6 @@ def fig5_fb_conrep_aod_time(
         mode=CONREP,
         metric="aod_time",
         executor=executor,
-        engine=engine,
         backend=backend,
         cache=cache,
         shards=shards,
@@ -470,7 +459,6 @@ def fig6_fb_conrep_aod_activity(
     scale: ExperimentScale,
     *,
     executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
     backend: str = PYTHON,
     cache: Optional["SweepCache"] = None,
     shards: int = 1,
@@ -495,7 +483,6 @@ def fig6_fb_conrep_aod_activity(
         mode=CONREP,
         metric="aod_activity",
         executor=executor,
-        engine=engine,
         backend=backend,
         cache=cache,
         shards=shards,
@@ -507,7 +494,6 @@ def fig7_fb_conrep_delay(
     scale: ExperimentScale,
     *,
     executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
     backend: str = PYTHON,
     cache: Optional["SweepCache"] = None,
     shards: int = 1,
@@ -532,7 +518,6 @@ def fig7_fb_conrep_delay(
         mode=CONREP,
         metric="delay_hours_actual",
         executor=executor,
-        engine=engine,
         backend=backend,
         cache=cache,
         shards=shards,
@@ -544,7 +529,6 @@ def fig8_session_length(
     scale: ExperimentScale,
     *,
     executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
     backend: str = PYTHON,
     cache: Optional["SweepCache"] = None,
     shards: int = 1,
@@ -578,7 +562,6 @@ def fig8_session_length(
         seed=scale.seed,
         repeats=scale.repeats,
         executor=executor,
-        engine=engine,
         backend=backend,
         cache=cache,
         shards=1 if is_sharded else shards,
@@ -612,7 +595,6 @@ def fig9_user_degree(
     scale: ExperimentScale,
     *,
     executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
     backend: str = PYTHON,
     cache: Optional["SweepCache"] = None,
     shards: int = 1,
@@ -646,7 +628,6 @@ def fig9_user_degree(
         seed=scale.seed,
         repeats=scale.repeats,
         executor=executor,
-        engine=engine,
         backend=backend,
         cache=cache,
         shards=1 if is_sharded else shards,
@@ -703,7 +684,6 @@ def fig10_tw_conrep_availability(
     scale: ExperimentScale,
     *,
     executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
     backend: str = PYTHON,
     cache: Optional["SweepCache"] = None,
     shards: int = 1,
@@ -725,7 +705,6 @@ def fig10_tw_conrep_availability(
         mode=CONREP,
         metric="availability",
         executor=executor,
-        engine=engine,
         backend=backend,
         cache=cache,
         shards=shards,
@@ -737,7 +716,6 @@ def fig11_tw_conrep_aod_time(
     scale: ExperimentScale,
     *,
     executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
     backend: str = PYTHON,
     cache: Optional["SweepCache"] = None,
     shards: int = 1,
@@ -763,7 +741,6 @@ def fig11_tw_conrep_aod_time(
         mode=CONREP,
         metric="aod_time",
         executor=executor,
-        engine=engine,
         backend=backend,
         cache=cache,
         shards=shards,
@@ -780,7 +757,6 @@ def x1_des_validation(
     scale: ExperimentScale,
     *,
     executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
     backend: str = PYTHON,
     cache: Optional["SweepCache"] = None,
     shards: int = 1,
@@ -886,7 +862,6 @@ def x2_expected_unexpected(
     scale: ExperimentScale,
     *,
     executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
     backend: str = PYTHON,
     cache: Optional["SweepCache"] = None,
     shards: int = 1,
@@ -979,7 +954,6 @@ def x3_observed_vs_actual_delay(
     scale: ExperimentScale,
     *,
     executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
     backend: str = PYTHON,
     cache: Optional["SweepCache"] = None,
     shards: int = 1,
@@ -1025,6 +999,7 @@ def x3_observed_vs_actual_delay(
             executor=executor,
             backend=backend,
             cache=cache,
+            shards=1 if is_sharded else shards,
         )["maxav"]
         rows = []
         for i, k in enumerate(DEGREES):
@@ -1050,7 +1025,6 @@ def x4_hosting_fairness(
     scale: ExperimentScale,
     *,
     executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
     backend: str = PYTHON,
     cache: Optional["SweepCache"] = None,
     shards: int = 1,
@@ -1132,7 +1106,6 @@ def x5_owner_notification(
     scale: ExperimentScale,
     *,
     executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
     backend: str = PYTHON,
     cache: Optional["SweepCache"] = None,
     shards: int = 1,
@@ -1224,7 +1197,6 @@ def x6_scaled_replay(
     scale: ExperimentScale,
     *,
     executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
     backend: str = PYTHON,
     cache: Optional["SweepCache"] = None,
     shards: int = 1,
@@ -1392,7 +1364,6 @@ def run_experiment(
     *,
     jobs: int = 1,
     executor: Optional[ParallelExecutor] = None,
-    engine: str = INCREMENTAL,
     backend: str = PYTHON,
     cache: Optional["SweepCache"] = None,
     shards: int = 1,
@@ -1402,11 +1373,6 @@ def run_experiment(
 
     ``jobs`` (or a pre-built ``executor``) parallelises the per-user sweep
     work over worker processes; results are bit-identical to ``jobs=1``.
-    ``engine`` selects the prefix-evaluation path for the degree sweeps
-    (``"incremental"`` by default; ``"naive"`` forces the per-degree
-    reference oracle — float-identical output, only slower).  Experiments
-    that run no degree sweep (table1, fig2, and the x-series diagnostics,
-    which deliberately exercise the oracle path) accept and ignore it.
     ``backend`` selects the timeline kernels (``"python"`` by default;
     ``"numpy"`` batches the overlap/set-cover/activity scans — results
     bit-identical either way).  ``cache`` (a
@@ -1415,20 +1381,22 @@ def run_experiment(
     recomputed ones.  ``shards`` splits each sweep's cohort into that
     many contiguous slices dispatched one slice at a time, bounding how
     much per-user state is in flight at once — an execution knob like
-    ``jobs``/``engine``/``backend``, so results (and sweep-cache keys)
-    are bit-identical for every value.  ``shard_mode`` selects how the
-    sweep experiments consume their dataset: ``"cohort"`` (default)
-    materialises the whole dataset; ``"dataset"`` streams it shard by
-    shard (``shards`` then names the dataset shard count) — one shard's
-    graph, trace and schedules in memory at a time, per-shard aggregates
-    merged, equal to cohort mode field for field up to float-summation
-    order.  Experiments that run no degree sweep (table1, fig2, and the
-    x-series diagnostics other than x3) accept and ignore it, as they
-    materialise their dataset eagerly either way.  Phase wall-clock/throughput timings — plus cache
-    hit/miss and pool start/reuse counters when a shared ``cache`` /
-    ``executor`` is threaded through — land in ``result.timings`` as
-    *this experiment's* deltas and are serialised into the experiment's
-    JSON by ``run_batch``.
+    ``jobs``/``backend``, so results (and sweep-cache keys) are
+    bit-identical for every value.  Every degree sweep honours it
+    (fig3–fig11 and x3); x6 reads it as its replay shard count instead.
+    ``shard_mode`` selects how the sweep experiments consume their
+    dataset: ``"cohort"`` (default) materialises the whole dataset;
+    ``"dataset"`` streams it shard by shard (``shards`` then names the
+    dataset shard count) — one shard's graph, trace and schedules in
+    memory at a time, per-shard aggregates merged, equal to cohort mode
+    field for field up to float-summation order.  Experiments that run
+    no degree sweep (table1, fig2, and the x-series diagnostics other
+    than x3) accept and ignore ``shard_mode``, as they materialise their
+    dataset eagerly either way.  Phase wall-clock/throughput timings —
+    plus cache hit/miss and pool start/reuse counters when a shared
+    ``cache`` / ``executor`` is threaded through — land in
+    ``result.timings`` as *this experiment's* deltas and are serialised
+    into the experiment's JSON by ``run_batch``.
     """
     try:
         fn = EXPERIMENTS[experiment_id]
@@ -1450,7 +1418,6 @@ def run_experiment(
         result = fn(
             scale,
             executor=executor,
-            engine=engine,
             backend=backend,
             cache=cache,
             shards=shards,
@@ -1462,7 +1429,6 @@ def run_experiment(
     result.timings = {
         "total_seconds": round(perf_counter() - start, 6),
         "jobs": executor.effective_jobs,
-        "engine": engine,
         "backend": backend,
         "shards": shards,
         "shard_mode": shard_mode,

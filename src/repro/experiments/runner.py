@@ -37,7 +37,6 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Union
 
 from repro.cache import SweepCache
-from repro.core.incremental import INCREMENTAL
 from repro.parallel import FaultInjector, ParallelExecutor, RetryPolicy
 from repro.timeline.packed import PYTHON
 from repro.experiments.checkpoint import SweepCheckpoint
@@ -265,7 +264,6 @@ def summarize_batch(
     *,
     scale: ExperimentScale,
     jobs: int,
-    engine: str,
     backend: str,
     shards: int = 1,
     shard_mode: str = "cohort",
@@ -300,7 +298,6 @@ def summarize_batch(
     summary: Dict[str, Any] = {
         "scale": scale.name,
         "jobs": jobs,
-        "engine": engine,
         "backend": backend,
         "shards": shards,
         "shard_mode": shard_mode,
@@ -338,7 +335,7 @@ def render_batch_summary(summary: Dict[str, Any]) -> str:
     lines = [
         f"[batch] {summary['num_experiments']} experiments in "
         f"{summary['total_seconds']:.2f}s (jobs={summary['jobs']}, "
-        f"engine={summary['engine']}, backend={summary['backend']})"
+        f"backend={summary['backend']})"
     ]
     cache = summary.get("cache")
     if cache is not None:
@@ -410,7 +407,6 @@ def run_batch(
     scale: ExperimentScale = BENCH,
     ids: Optional[Iterable[str]] = None,
     jobs: int = 1,
-    engine: str = INCREMENTAL,
     backend: str = PYTHON,
     shards: int = 1,
     shard_mode: str = "cohort",
@@ -427,9 +423,7 @@ def run_batch(
     """Run experiments and write ``<id>.txt`` + ``<id>.json`` per entry.
 
     ``jobs`` parallelises each experiment's per-user work over worker
-    processes (results are bit-identical to ``jobs=1``); ``engine``
-    selects the sweep evaluation path (``"incremental"`` default,
-    ``"naive"`` reference — same output either way); ``backend`` selects
+    processes (results are bit-identical to ``jobs=1``); ``backend`` selects
     the timeline kernels (``"python"`` default, ``"numpy"`` vectorised —
     same output either way); ``shards`` splits each sweep cohort into
     contiguous slices dispatched one at a time (again bit-identical —
@@ -509,7 +503,6 @@ def run_batch(
                     scale,
                     jobs=jobs,
                     executor=executor,
-                    engine=engine,
                     backend=backend,
                     cache=cache,
                     shards=shards,
@@ -535,7 +528,6 @@ def run_batch(
             results,
             scale=scale,
             jobs=jobs,
-            engine=engine,
             backend=backend,
             shards=shards,
             shard_mode=shard_mode,

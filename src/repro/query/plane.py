@@ -26,7 +26,7 @@ Everything here changes *when* work happens, never the floats: every
 query routes through :func:`~repro.core.evaluation.evaluate_single`,
 which calls the same per-user kernel the batch sweeps fan out, so a
 point query is bit-identical to the matching cell of a batch sweep for
-every engine/backend combination (property-tested in ``tests/query``).
+every backend (property-tested in ``tests/query``).
 
 Micro-batching lives in :mod:`repro.query.microbatch`:
 :meth:`QueryPlane.evaluate_many` coalesces a batch's cold overlap work
@@ -58,11 +58,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.cache.keys import point_query_key
 from repro.core.connectivity import OverlapCache
 from repro.core.evaluation import evaluate_single
-from repro.core.incremental import (
-    INCREMENTAL,
-    IncrementalGroupEvaluator,
-    check_engine,
-)
+from repro.core.incremental import IncrementalGroupEvaluator
 from repro.core.metrics import UserMetrics
 from repro.core.placement.base import CONREP, PlacementContext, PlacementPolicy
 from repro.datasets.schema import Dataset
@@ -216,7 +212,6 @@ class QueryPlane:
         model: OnlineTimeModel,
         *,
         mode: str = CONREP,
-        engine: str = INCREMENTAL,
         backend: str = PYTHON,
         seed: int = 0,
         cache=None,
@@ -231,7 +226,6 @@ class QueryPlane:
         self.dataset = dataset
         self.model = model
         self.mode = mode
-        self.engine = check_engine(engine)
         self.backend = check_backend(backend)
         self.seed = int(seed)
         self._store = cache
@@ -286,12 +280,8 @@ class QueryPlane:
         self.warm()
         return self._packed
 
-    def _evaluator_for(
-        self, user: UserId
-    ) -> Optional[IncrementalGroupEvaluator]:
-        """The user's resident evaluator (incremental engine only)."""
-        if self.engine != INCREMENTAL:
-            return None
+    def _evaluator_for(self, user: UserId) -> IncrementalGroupEvaluator:
+        """The user's resident evaluator."""
         evaluator = self._evaluators.get(user)
         if evaluator is None:
             evaluator = IncrementalGroupEvaluator(
@@ -314,7 +304,7 @@ class QueryPlane:
         user: UserId,
         policy: PlacementPolicy,
         k: int,
-        evaluator: Optional[IncrementalGroupEvaluator],
+        evaluator: IncrementalGroupEvaluator,
     ) -> Tuple[UserId, ...]:
         """The user's selection sequence, at least ``k`` deep.
 
@@ -337,9 +327,7 @@ class QueryPlane:
             user=user,
             mode=self.mode,
             rng=derive_rng(self.seed, policy.name, user),
-            overlap_cache=(
-                evaluator.overlap_cache if evaluator is not None else None
-            ),
+            overlap_cache=evaluator.overlap_cache,
             packed=self._packed,
         )
         sequence = tuple(policy.select(ctx, depth))
@@ -399,7 +387,6 @@ class QueryPlane:
             policy,
             k,
             mode=self.mode,
-            engine=self.engine,
             backend=self.backend,
             seed=self.seed,
             packed=self._packed,
@@ -429,7 +416,6 @@ class QueryPlane:
             policy,
             k,
             mode=self.mode,
-            engine=self.engine,
             backend=PYTHON,
             seed=self.seed,
             packed=None,
@@ -720,11 +706,7 @@ class QueryPlane:
     def _prewarm_overlaps(self, users) -> None:
         """Seed owner-candidate overlaps for ``users`` in one kernel call."""
         packed = self._packed
-        if (
-            self.engine != INCREMENTAL
-            or packed is None
-            or not packed.exact
-        ):
+        if packed is None or not packed.exact:
             return
         owners: List[UserId] = []
         partners: List[UserId] = []
@@ -738,9 +720,9 @@ class QueryPlane:
             return
         values = packed.overlap_pairs(owners, partners)
         for (user, candidate), value in zip(pending, values):
-            evaluator = self._evaluator_for(user)
-            if evaluator is not None:
-                evaluator.overlap_cache.seed(user, candidate, float(value))
+            self._evaluator_for(user).overlap_cache.seed(
+                user, candidate, float(value)
+            )
 
     # -- stats --------------------------------------------------------------
 

@@ -9,7 +9,7 @@ Three contracts:
   the floats changes the key.
 * **Value fidelity** — series served from the cache (memory or disk)
   are field-for-field identical to freshly computed ones, for every
-  policy, mode, and (jobs, engine, backend) combination; the on-disk
+  policy, mode, and (jobs, backend) combination; the on-disk
   layer tolerates corruption by missing cleanly.
 * **Sweep integration** — ``sweep_replication_degree`` with a cache
   returns exactly what it returns without one, computes only the
@@ -176,8 +176,8 @@ class TestHashSeedIndependence:
         assert a == b
 
 
-def _sweep(cache=None, executor=None, engine="incremental",
-           backend="python", policies=None, mode=CONREP):
+def _sweep(cache=None, executor=None, backend="python", policies=None,
+           mode=CONREP):
     ds = _dataset()
     return sweep_replication_degree(
         ds,
@@ -189,7 +189,6 @@ def _sweep(cache=None, executor=None, engine="incremental",
         seed=1,
         repeats=2,
         executor=executor,
-        engine=engine,
         backend=backend,
         cache=cache,
     )
@@ -206,18 +205,15 @@ class TestCachedSweepIdentity:
         assert cache.stats.misses == cache.stats.stores == 3
         assert cache.stats.hits == 3
 
-    @pytest.mark.parametrize(
-        "engine,backend", [("naive", "python"), ("incremental", "numpy")]
-    )
-    def test_entry_serves_every_engine_and_backend(self, engine, backend):
+    def test_entry_serves_the_numpy_backend(self):
         # Execution knobs are excluded from the key: an entry computed
         # by the default path must equal what any other path computes.
         cache = SweepCache()
         default = _sweep(cache=cache)
-        other = _sweep(cache=cache, engine=engine, backend=backend)
+        other = _sweep(cache=cache, backend="numpy")
         assert other == default
         assert cache.stats.misses == 3  # second sweep fully cache-served
-        fresh = _sweep(engine=engine, backend=backend)
+        fresh = _sweep(backend="numpy")
         assert default == fresh
 
     @pytest.mark.skipif(

@@ -18,13 +18,10 @@ from hypothesis import strategies as st
 
 from repro.core import (
     CONREP,
-    INCREMENTAL,
-    NAIVE,
     IncrementalGroupEvaluator,
     PlacementContext,
     UNCONREP,
     UserMetrics,
-    check_engine,
     evaluate_user,
     make_policy,
     select_cohort,
@@ -35,6 +32,7 @@ from repro.graph import SocialGraph
 from repro.onlinetime import SporadicModel, compute_schedules
 from repro.parallel.worker import SweepPayload, evaluate_users_chunk
 from repro.timeline import DAY_SECONDS, IntervalSet
+from tests.oracles.naive import naive_sweep, naive_users_chunk
 
 _NUM_FRIENDS = 8
 _POLICIES = ["maxav", "mostactive", "random", "hybrid"]
@@ -259,17 +257,12 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             IncrementalGroupEvaluator(ds, schedules, 0, mode="bogus")
 
-    def test_check_engine(self):
-        assert check_engine(NAIVE) == NAIVE
-        assert check_engine(INCREMENTAL) == INCREMENTAL
-        with pytest.raises(ValueError):
-            check_engine("turbo")
-
 
 class TestEngineIntegration:
-    """Engine selection through the worker kernel and the sweep harness."""
+    """The worker kernel and the sweep harness against the per-degree
+    oracle (``tests/oracles/naive.py``)."""
 
-    def _payload(self, engine):
+    def _payload(self):
         ds = synthetic_facebook(400, seed=11)
         schedules = compute_schedules(ds, SporadicModel(), seed=11)
         return (
@@ -281,37 +274,27 @@ class TestEngineIntegration:
                 degrees=tuple(range(5)),
                 max_degree=4,
                 seed=11,
-                engine=engine,
             ),
             select_cohort(ds, 10, max_users=6),
         )
 
     def test_worker_chunk_engines_identical(self):
-        naive_payload, users = self._payload(NAIVE)
-        incr_payload, _ = self._payload(INCREMENTAL)
-        assert evaluate_users_chunk(
-            incr_payload, users
-        ) == evaluate_users_chunk(naive_payload, users)
+        payload, users = self._payload()
+        assert evaluate_users_chunk(payload, users) == naive_users_chunk(
+            payload, users
+        )
 
     def test_sweep_engines_identical(self):
         ds = synthetic_facebook(400, seed=3)
-        results = {}
-        for engine in (NAIVE, INCREMENTAL):
-            results[engine] = sweep_replication_degree(
-                ds,
-                SporadicModel(),
-                [make_policy("maxav"), make_policy("random")],
-                degrees=list(range(4)),
-                users=select_cohort(ds, 10, max_users=5),
-                seed=7,
-                repeats=2,
-                engine=engine,
-            )
-        assert results[NAIVE] == results[INCREMENTAL]  # exact, all floats
-
-    def test_unknown_engine_rejected(self):
-        payload, users = self._payload(NAIVE)
-        with pytest.raises(ValueError):
-            evaluate_users_chunk(
-                dataclasses.replace(payload, engine="bogus"), users
-            )
+        kwargs = dict(
+            degrees=list(range(4)),
+            users=select_cohort(ds, 10, max_users=5),
+            seed=7,
+            repeats=2,
+        )
+        policies = [make_policy("maxav"), make_policy("random")]
+        swept = sweep_replication_degree(
+            ds, SporadicModel(), policies, **kwargs
+        )
+        oracle = naive_sweep(ds, SporadicModel(), policies, **kwargs)
+        assert swept == oracle  # exact, all floats

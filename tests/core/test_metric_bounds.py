@@ -1,12 +1,13 @@
-"""The §II-C ratio metrics stay in [0, 1] at float edges.
+"""The §II-C metrics stay in range at float edges.
 
 Interval endpoints are drawn from the edges of the float line as well as
 the plain day: subnormals, values an ulp below ``DAY_SECONDS``, huge
 values (folded onto the day by the wrapping constructor) and zero-length
 sessions, for single-user cohorts and small friend sets.  The scalar
 ``evaluate_user`` (with and without the packed kernels) and the
-incremental engine must agree bit for bit and keep every ratio a
-fraction.
+incremental evaluator must agree bit for bit, keep every ratio a
+fraction, and keep both propagation delays non-negative (or infinite)
+with the observed delay never above the actual one, in both regimes.
 """
 
 import math
@@ -14,7 +15,7 @@ import math
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import evaluate_user
+from repro.core import CONREP, UNCONREP, evaluate_user
 from repro.core.incremental import IncrementalGroupEvaluator
 from repro.core.metrics import demand_fraction
 from repro.datasets import Activity, ActivityTrace, Dataset
@@ -93,13 +94,15 @@ def _dataset(num_friends, instants):
     return Dataset("edges", "facebook", graph, ActivityTrace(acts))
 
 
-def _all_paths(dataset, schedules, replicas):
+def _all_paths(dataset, schedules, replicas, mode=CONREP):
     packed = PackedSchedules.from_schedules(schedules)
-    scalar = evaluate_user(dataset, schedules, 0, replicas)
-    vector = evaluate_user(dataset, schedules, 0, replicas, packed=packed)
-    incremental = IncrementalGroupEvaluator(dataset, schedules, 0).evaluate(
-        replicas, len(replicas)
+    scalar = evaluate_user(dataset, schedules, 0, replicas, mode=mode)
+    vector = evaluate_user(
+        dataset, schedules, 0, replicas, mode=mode, packed=packed
     )
+    incremental = IncrementalGroupEvaluator(
+        dataset, schedules, 0, mode=mode
+    ).evaluate(replicas, len(replicas))
     assert scalar == vector == incremental
     return scalar
 
@@ -171,3 +174,91 @@ class TestRatioBounds:
         assert demand_fraction(1.0, 3.0) == 1.0 / 3.0
         assert demand_fraction(5e-324, 5e-324) == 1.0
         assert demand_fraction(0.0, 0.0) == 1.0
+
+
+@st.composite
+def _day_tiling(draw):
+    """Pieces tiling the whole day with one-ulp gaps: the largest
+    measures one schedule can have."""
+    cuts = sorted(
+        draw(st.lists(st.floats(0.0, DAY_SECONDS), min_size=1, max_size=8))
+    )
+    points = [0.0] + cuts + [DAY_SECONDS]
+    pieces = []
+    for i in range(len(points) - 1):
+        start = points[i] if i == 0 else math.nextafter(points[i], math.inf)
+        if start < points[i + 1]:
+            pieces.append((start, points[i + 1]))
+    return IntervalSet(pieces, wrap=False)
+
+
+_DELAY_SCHEDULE = st.one_of(
+    _SCHEDULE,
+    _day_tiling(),
+    # Sessions of two thirds of a day or more (wrapping midnight when
+    # they start late): an UnconRep receiver then sits online through
+    # the whole actual window, so its observed wait equals the actual.
+    st.tuples(
+        st.floats(0.0, DAY_SECONDS),
+        st.floats(2 * DAY_SECONDS / 3, DAY_SECONDS),
+    ).map(lambda s: IntervalSet([(s[0], s[0] + s[1])])),
+)
+
+
+def _assert_delays(metrics):
+    actual = metrics.delay_hours_actual
+    observed = metrics.delay_hours_observed
+    for value in (actual, observed):
+        assert value >= 0.0, value  # false for nan, true for inf
+    assert observed <= actual, (observed, actual)
+
+
+class TestDelayBounds:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        num_friends=st.integers(0, 4),
+        mode=st.sampled_from([CONREP, UNCONREP]),
+        data=st.data(),
+    )
+    def test_delays_are_ordered_and_non_negative(
+        self, num_friends, mode, data
+    ):
+        schedules = {
+            u: data.draw(_DELAY_SCHEDULE) for u in range(num_friends + 1)
+        }
+        replicas = list(range(1, num_friends + 1))[
+            : data.draw(st.integers(0, num_friends))
+        ]
+        metrics = _all_paths(
+            _dataset(num_friends, []), schedules, replicas, mode
+        )
+        _assert_delays(metrics)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tiling=_day_tiling())
+    def test_day_tiling_measure_stays_within_the_day(self, tiling):
+        # Observed <= actual leans on every receiver's measure being at
+        # most a day: an edge weight DAY - overlap is then >= 0, and
+        # k full days contribute k * measure <= k * DAY.
+        assert 0.0 <= tiling.measure <= DAY_SECONDS
+
+    def test_receivers_online_through_the_window(self):
+        # UnconRep, two members online 20h a day: each wait is 4h, the
+        # actual delay 8h, and both receivers are online for all of it.
+        session = IntervalSet([(0.0, 20 * 3600.0)])
+        dataset = _dataset(1, [])
+        metrics = _all_paths(
+            dataset, {0: session, 1: session}, [1], UNCONREP
+        )
+        assert metrics.delay_hours_actual == 8.0
+        assert metrics.delay_hours_observed == 8.0
+        _assert_delays(metrics)
+
+    def test_never_online_member_is_infinite_in_both(self):
+        dataset = _dataset(1, [])
+        schedules = {0: IntervalSet.full_day(), 1: IntervalSet.empty()}
+        for mode in (CONREP, UNCONREP):
+            metrics = _all_paths(dataset, schedules, [1], mode)
+            assert math.isinf(metrics.delay_hours_actual)
+            assert math.isinf(metrics.delay_hours_observed)
+            _assert_delays(metrics)

@@ -4,7 +4,7 @@ Splitting a sweep cohort into contiguous slices changes how much work
 is in flight at once — never what is computed.  The per-user cells of
 all slices are concatenated before the rollup, so the sharded series
 must equal the unsharded one on exact float equality, the same
-contract ``jobs``/``engine``/``backend`` obey.  ``AggregateMetrics.merge``
+contract ``jobs``/``backend`` obey.  ``AggregateMetrics.merge``
 (the cross-shard-*dataset* rollup, which is weighted rather than
 cell-concatenated) is exercised separately, approximately.
 """
@@ -28,6 +28,7 @@ from repro.core import (
 from repro.datasets import synthetic_facebook
 from repro.onlinetime import SporadicModel, compute_schedules
 from repro.parallel import ParallelExecutor, fork_available
+from tests.oracles.naive import naive_sweep
 
 
 @functools.lru_cache(maxsize=1)
@@ -35,21 +36,22 @@ def _dataset():
     return synthetic_facebook(600, seed=5)
 
 
-def _sweep(*, shards, executor=None, engine="incremental", backend="python"):
+def _inputs():
     ds = _dataset()
-    users = select_cohort(ds, 10, max_users=9)
-    return sweep_replication_degree(
-        ds,
-        SporadicModel(),
-        [make_policy("maxav"), make_policy("random")],
+    return dict(
+        dataset=ds,
+        model=SporadicModel(),
+        policies=[make_policy("maxav"), make_policy("random")],
         degrees=list(range(5)),
-        users=users,
+        users=select_cohort(ds, 10, max_users=9),
         seed=0,
         repeats=2,
-        shards=shards,
-        executor=executor,
-        engine=engine,
-        backend=backend,
+    )
+
+
+def _sweep(*, shards, executor=None, backend="python"):
+    return sweep_replication_degree(
+        **_inputs(), shards=shards, executor=executor, backend=backend
     )
 
 
@@ -62,8 +64,11 @@ class TestShardedSweepBitIdentity:
         assert _sweep(shards=50) == _sweep(shards=1)
 
     def test_sharded_equals_unsharded_numpy_naive(self):
+        # The sharded numpy sweep against the unsharded python one and
+        # the per-degree oracle (tests/oracles/naive.py).
         baseline = _sweep(shards=1)
-        assert _sweep(shards=3, engine="naive", backend="numpy") == baseline
+        assert _sweep(shards=3, backend="numpy") == baseline
+        assert naive_sweep(**_inputs()) == baseline
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork pools")
     def test_sharded_equals_unsharded_across_jobs(self):

@@ -7,8 +7,9 @@ dataset-per-shard mode can replace it at scale:
    rows, candidates, activities);
 2. the streaming receiver-survey fixpoint == ``filter_dataset``'s
    fixpoint (via the eager builders, which run the latter);
-3. the ``*_datasets`` sweep drivers == the whole-dataset sweeps,
-   field for field, across the (jobs, engine, backend, shards) grid —
+3. the ``*_datasets`` sweep drivers == the whole-dataset sweeps (and
+   the per-degree oracle, ``tests/oracles/naive.py``), field for field,
+   across the (jobs, backend, shards) grid —
    integer fields exactly, float fields to ~1e-9 (the only divergence
    is float-summation order in the cross-shard merge).
 
@@ -40,6 +41,7 @@ from repro.core import (
 from repro.datasets import ShardedDataset, SyntheticSpec
 from repro.onlinetime import SporadicModel
 from repro.parallel import ParallelExecutor, fork_available
+from tests.oracles.naive import naive_sweep
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -143,11 +145,13 @@ def _policies():
 
 class TestDatasetModeSweepIdentity:
     @pytest.mark.parametrize("kind", ["facebook", "twitter"])
+    # The whole-dataset reference is the production sweep
+    # ("incremental") or the per-degree oracle ("naive").
     @pytest.mark.parametrize(
-        "engine,backend", [("incremental", "python"), ("naive", "numpy")]
+        "reference,backend", [("incremental", "python"), ("naive", "numpy")]
     )
     @pytest.mark.parametrize("shards", [1, 3])
-    def test_replication_degree(self, kind, engine, backend, shards):
+    def test_replication_degree(self, kind, reference, backend, shards):
         eager, sharded = _sweep_fixture(kind)
         users = select_cohort(eager, 10, max_users=8, seed=0)
         assert users == select_cohort(sharded, 10, max_users=8, seed=0)
@@ -156,14 +160,25 @@ class TestDatasetModeSweepIdentity:
             users=users,
             seed=0,
             repeats=2,
-            engine=engine,
-            backend=backend,
         )
-        whole = sweep_replication_degree(
-            eager, SporadicModel(), _policies(), shards=shards, **kwargs
-        )
+        if reference == "naive":
+            whole = naive_sweep(eager, SporadicModel(), _policies(), **kwargs)
+        else:
+            whole = sweep_replication_degree(
+                eager,
+                SporadicModel(),
+                _policies(),
+                shards=shards,
+                backend=backend,
+                **kwargs,
+            )
         per_shard = sweep_replication_degree_datasets(
-            sharded, SporadicModel(), _policies(), shards=shards, **kwargs
+            sharded,
+            SporadicModel(),
+            _policies(),
+            shards=shards,
+            backend=backend,
+            **kwargs,
         )
         _assert_series_match(per_shard, whole)
 

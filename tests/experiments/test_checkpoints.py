@@ -255,11 +255,11 @@ class TestMidSweepResume:
     def test_checkpoints_are_execution_knob_independent(self, tmp_path):
         # Checkpoints written by a 4-shard run serve... only a 4-shard
         # run of the same sweep (the shard slice is part of the
-        # identity), but engine/backend don't fragment them.
+        # identity), but the backend doesn't fragment them.
         first_cache = _checkpointed_cache(tmp_path)
         first = _sweep(first_cache, shards=4)
         other_cache = _checkpointed_cache(tmp_path)
-        other = _sweep(other_cache, shards=4, engine="naive")
+        other = _sweep(other_cache, shards=4, backend="numpy")
         assert other == first
         assert other_cache.checkpoint.stats()["loads"] == 8
 

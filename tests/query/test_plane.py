@@ -1,7 +1,7 @@
 """The warm query plane's bit-identity contract and warm-state caches.
 
 The load-bearing property: a point query answered by any
-:class:`QueryPlane` configuration — engine, backend, warm or cold
+:class:`QueryPlane` configuration — backend, warm or cold
 state, cached or recomputed, batched or lone — equals the matching cell
 of a batch sweep bit for bit.  Everything else here (LRU behavior,
 store composition, payload round trips) protects the machinery that
@@ -36,6 +36,7 @@ from repro.query import (
     metrics_to_payload,
 )
 from repro.timeline.packed import NUMPY, PYTHON
+from tests.oracles.naive import naive_users_chunk
 
 SEED = 5
 POLICIES = ("random", "mostactive", "maxav")
@@ -59,7 +60,9 @@ def _integral_model():
     return ExplicitScheduleModel(sessions)
 
 
-def _sweep_cells(model, mode, engine, backend, users):
+def _sweep_cells(model, mode, reference, backend, users):
+    """Batch cells from the sweep's own kernel (``"incremental"``) or
+    from the per-degree oracle (``"naive"``, ``tests/oracles/naive.py``)."""
     dataset = _dataset()
     schedules = compute_schedules(dataset, model, seed=SEED)
     packed = (
@@ -75,25 +78,24 @@ def _sweep_cells(model, mode, engine, backend, users):
         degrees=DEGREES,
         max_degree=max(DEGREES),
         seed=SEED,
-        engine=engine,
         backend=backend,
         packed=packed,
     )
-    return evaluate_users_chunk(payload, users)
+    chunk = naive_users_chunk if reference == "naive" else evaluate_users_chunk
+    return chunk(payload, users)
 
 
 class TestPlaneMatchesSweep:
     @pytest.mark.parametrize("mode", [CONREP, UNCONREP])
-    @pytest.mark.parametrize("engine", ["incremental", "naive"])
+    @pytest.mark.parametrize("reference", ["incremental", "naive"])
     @pytest.mark.parametrize("backend", [PYTHON, NUMPY])
-    def test_point_queries_equal_sweep_cells(self, mode, engine, backend):
+    def test_point_queries_equal_sweep_cells(self, mode, reference, backend):
         dataset = _dataset()
         model = SporadicModel()
         users = sorted(dataset.graph.users())[:5]
-        cells = _sweep_cells(model, mode, engine, backend, users)
+        cells = _sweep_cells(model, mode, reference, backend, users)
         plane = QueryPlane(
-            dataset, model, mode=mode, engine=engine, backend=backend,
-            seed=SEED,
+            dataset, model, mode=mode, backend=backend, seed=SEED
         )
         # Descending degree first: later smaller degrees must reuse the
         # cached deeper sequence's prefix, not re-derive a fresh one.

@@ -26,6 +26,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "fig3", "--scale", "huge"])
 
+    @pytest.mark.parametrize(
+        "argv", [["run", "fig3"], ["batch", "out"], ["query"]]
+    )
+    def test_engine_flag_is_gone(self, argv, capsys):
+        # Sweeps have one prefix-evaluation path; the per-degree
+        # reference lives in tests/oracles/naive.py.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv + ["--engine", "naive"])
+        assert excinfo.value.code == 2
+        assert "--engine" in capsys.readouterr().err
+
     def test_generate_requires_paths(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["generate"])
@@ -266,7 +277,6 @@ class TestQueryCommand:
         assert args.policy == "maxav"
         assert args.mode == "conrep"
         assert args.k == 3
-        assert args.engine == "incremental"
         assert args.backend == "python"
         assert args.user is None
 
